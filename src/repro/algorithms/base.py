@@ -189,12 +189,17 @@ class DeploymentAlgorithm(ABC):
 
     # ------------------------------------------------------------------
     def _evaluate(self, model: DeploymentModel,
-                  deployment: Mapping[str, str]) -> float:
-        """Score a full deployment (memoized when an engine is attached)."""
+                  deployment: Mapping[str, str],
+                  assignment: Optional[Sequence[int]] = None) -> float:
+        """Score a full deployment (memoized when an engine is attached).
+
+        Callers holding the compiled host-index *assignment* of
+        *deployment* pass it so a cache miss skips re-encoding.
+        """
         self._evaluations += 1
         if self._engine is None:
             return self.objective.evaluate(model, deployment)
-        return self._engine.evaluate(model, deployment)
+        return self._engine.evaluate_encoded(model, deployment, assignment)
 
     def _move_delta(self, model: DeploymentModel,
                     deployment: Mapping[str, str], component: str,
@@ -243,10 +248,12 @@ def random_valid_deployment(model: DeploymentModel,
                             ) -> Optional[Dict[str, str]]:
     """Build a random constraint-satisfying deployment, or None.
 
-    This is one iteration of the Stochastic algorithm's inner loop (and the
-    seeding step for the annealing/genetic extensions): order hosts and
-    components randomly, then place each component on the first host (in the
-    random order) that the constraint checker allows.
+    The seeding step of the hill-climbing, swap-search, annealing and
+    genetic algorithms: order hosts and components randomly, then place
+    each component on the first host (in the random order) that the
+    constraint checker allows.  This is a first-fit per component, unlike
+    the Stochastic algorithm, which fills host by host
+    (:func:`greedy_fill_deployment`).
 
     When a *checker* (from :func:`repro.algorithms.search.make_checker`) is
     supplied, legality probes go through it — O(1) per probe on the
@@ -299,30 +306,18 @@ def greedy_fill_deployment(model: DeploymentModel,
     fit on that host ... Once the host is full, the algorithm proceeds with
     the same process for the next host" (Section 5.1, Stochastic).
 
-    As with :func:`random_valid_deployment`, a supplied *checker* answers
-    the legality probes in the identical order.
+    The fill runs on the index lane of a *checker* (from
+    :func:`repro.algorithms.search.make_checker`; one is made for
+    *constraints* when omitted): the compiled checker fills in bulk, the
+    object checker probes one ``allows`` at a time, and both give the same
+    assignment, in placement order, and the same probe count.
     """
-    assignment: Dict[str, str] = {}
-    if checker is not None:
-        checker.reset({})
-    remaining = list(components)
-    for host in hosts:
-        still_remaining = []
-        for component in remaining:
-            if checker is not None:
-                allowed = checker.allows(component, host)
-            else:
-                allowed = constraints.allows(model, assignment, component,
-                                             host)
-            if allowed:
-                assignment[component] = host
-                if checker is not None:
-                    checker.place(component, host)
-            else:
-                still_remaining.append(component)
-        remaining = still_remaining
-        if not remaining:
-            break
-    if remaining:
+    if checker is None:
+        from repro.algorithms.search import make_checker
+        checker = make_checker(model, constraints)
+    cm = checker.cm
+    placements = checker.fill([cm.host_index[h] for h in hosts],
+                              [cm.component_index[c] for c in components])
+    if placements is None:
         return None
-    return assignment
+    return {cm.component_ids[ci]: cm.host_ids[hi] for ci, hi in placements}

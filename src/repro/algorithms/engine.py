@@ -266,6 +266,20 @@ class EvaluationEngine:
         ``charge`` is False, used for final result scoring) and served by
         the objective's compiled kernel when one exists.
         """
+        return self.evaluate_encoded(model, deployment, None, charge=charge)
+
+    def evaluate_encoded(self, model: DeploymentModel,
+                         deployment: Mapping[str, str],
+                         assignment: Optional[Sequence[int]], *,
+                         charge: bool = True) -> float:
+        """:meth:`evaluate` for callers that hold the encoded form.
+
+        *assignment* is *deployment* as a compiled host-index array (the
+        Stochastic algorithm builds both in one pass), so a kernel-served
+        miss skips ``CompiledModel.encode``; ``None`` encodes on a miss.
+        Memo, budget charging and counters are :meth:`evaluate`'s — this
+        is its implementation.
+        """
         self.cache.bind(model)
         key = (deployment if isinstance(deployment, Deployment)
                else Deployment(deployment))
@@ -281,7 +295,8 @@ class EvaluationEngine:
         value: Optional[float] = None
         kernel = self._kernel_for(model)
         if kernel is not None:
-            assignment = kernel.cm.encode(key)
+            if assignment is None:
+                assignment = kernel.cm.encode(key)
             if assignment is not None:
                 value = kernel.evaluate(assignment)
                 self.stats.kernel_evaluations += 1

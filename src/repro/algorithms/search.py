@@ -12,7 +12,9 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   type is not compilable.  Both expose the same protocol, count their
   queries into ``EvaluationStats.constraint_checks``, and are equivalent by
   construction/property test — which is what makes the fast path safe to
-  enable by default.
+  enable by default.  Both also run the constructive greedy fill
+  (``fill``): in bulk on the compiled path, one probe at a time on the
+  object path, with equal probe counts.
 
 * **Legal-move frontier with dirty-move invalidation.**  The frontier
   caches each component's best improving move and the per-move deltas.
@@ -126,6 +128,30 @@ class ObjectConstraintChecker:
         host = None if hi == UNDEPLOYED else self.cm.host_ids[hi]
         return self.place(self.cm.component_ids[ci], host)
 
+    def fill(self, host_order: Sequence[int], comp_order: Sequence[int],
+             ) -> Optional[List[Tuple[int, int]]]:
+        """Greedy host-by-host fill, one :meth:`allows` probe at a time.
+
+        Same contract as :meth:`CompiledConstraintChecker.fill`.
+        """
+        component_ids, host_ids = self.cm.component_ids, self.cm.host_ids
+        self.partial = {}
+        placements: List[Tuple[int, int]] = []
+        remaining = list(comp_order)
+        for hi in host_order:
+            if not remaining:
+                break
+            host = host_ids[hi]
+            kept: List[int] = []
+            for ci in remaining:
+                if self.allows(component_ids[ci], host):
+                    self.partial[component_ids[ci]] = host
+                    placements.append((ci, hi))
+                else:
+                    kept.append(ci)
+            remaining = kept
+        return None if remaining else placements
+
 
 class CompiledConstraintChecker:
     """O(1) checker over a bound :class:`CompiledConstraintSet`."""
@@ -177,6 +203,21 @@ class CompiledConstraintChecker:
 
     def place_index(self, ci: int, hi: int):
         return self.ccs.place(ci, hi)
+
+    def fill(self, host_order: Sequence[int], comp_order: Sequence[int],
+             ) -> Optional[List[Tuple[int, int]]]:
+        """Greedy host-by-host fill from the empty assignment.
+
+        Each host of *host_order* in turn takes every still-unplaced
+        component of *comp_order* that it allows, in order (the Stochastic
+        algorithm's constructive step).  Returns the ``(ci, hi)``
+        placements in placement order, or ``None`` when some component
+        fits nowhere; the checker is left holding the filled state.  Every
+        probe counts as one constraint check, as on the object path.
+        """
+        placements, probes = self.ccs.fill(host_order, comp_order)
+        self.stats.constraint_checks += probes
+        return placements if len(placements) == len(comp_order) else None
 
 
 def make_checker(model: DeploymentModel, constraints: ConstraintSet,

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.algorithms.base import DeploymentAlgorithm, greedy_fill_deployment
+from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.compiled import UNDEPLOYED
 from repro.core.model import DeploymentModel
 
 
@@ -41,19 +42,27 @@ class StochasticAlgorithm(DeploymentAlgorithm):
         best_value = self.objective.worst_value()
         feasible_iterations = 0
         checker = self._checker(model)
+        cm = checker.cm
+        host_ids, component_ids = cm.host_ids, cm.component_ids
         for __ in range(self.iterations):
-            hosts = list(model.host_ids)
-            components = list(model.component_ids)
+            # Shuffling index lists makes the same random draws, and so the
+            # same permutations, as shuffling the sorted id lists.
+            hosts = list(range(cm.n_hosts))
+            components = list(range(cm.n_components))
             self.rng.shuffle(hosts)
             self.rng.shuffle(components)
-            assignment = greedy_fill_deployment(
-                model, self.constraints, hosts, components, checker=checker)
-            if assignment is None:
+            placements = checker.fill(hosts, components)
+            if placements is None:
                 continue  # this ordering could not place every component
             if not checker.satisfied():
                 continue
             feasible_iterations += 1
-            value = self._evaluate(model, assignment)
+            assignment: Dict[str, str] = {}
+            encoded = [UNDEPLOYED] * cm.n_components
+            for ci, hi in placements:
+                assignment[component_ids[ci]] = host_ids[hi]
+                encoded[ci] = hi
+            value = self._evaluate(model, assignment, encoded)
             if best is None or self.objective.is_better(value, best_value):
                 best_value = value
                 best = assignment

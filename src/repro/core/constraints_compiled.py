@@ -15,8 +15,12 @@ O(1) per :meth:`~CompiledConstraintSet.allows`.
 
 Exactness contract (property-tested in
 ``tests/core/test_constraints_compiled.py``): for any assignment reachable
-by ``bind``/``place``/``undo``, ``allows``/``satisfied``/``violations``
-return exactly what the object path returns on the equivalent mapping.
+by ``bind``/``place``/``undo``/``fill``, ``allows``/``satisfied``/
+``violations`` return exactly what the object path returns on the
+equivalent mapping.  :meth:`~CompiledConstraintSet.fill` is the bulk
+host-by-host greedy fill of the Stochastic algorithm: the same
+placements, in the same order, with the same probe count as probing the
+object path one ``allows`` at a time.
 Compilation is by *exact* constraint type — a subclassed or unknown
 constraint makes :func:`compile_constraints` return ``None`` and callers
 keep the object path, so user extensions are never silently reinterpreted.
@@ -141,6 +145,14 @@ class CompiledConstraintSet:
                 raise ValueError("assignment references unknown hosts")
         else:
             encoded = list(assignment)
+        self._clear()
+        for ci, hi in enumerate(encoded):
+            if hi != UNDEPLOYED:
+                self.place(ci, hi)
+
+    def _clear(self) -> None:
+        """Reset every piece of incremental state to the empty assignment."""
+        cm = self.cm
         self.assignment = [UNDEPLOYED] * cm.n_components
         self.mem_load = [0.0] * cm.n_hosts
         self.cpu_load = [0.0] * cm.n_hosts
@@ -157,9 +169,70 @@ class CompiledConstraintSet:
             state["demand"] = {}
             state["count"] = {}
             state["over"] = 0
-        for ci, hi in enumerate(encoded):
-            if hi != UNDEPLOYED:
-                self.place(ci, hi)
+
+    def fill(self, host_order: Sequence[int], comp_order: Sequence[int],
+             ) -> Tuple[List[Tuple[int, int]], int]:
+        """Greedy host-by-host fill from the empty assignment.
+
+        For each host of *host_order* in turn, every component of
+        *comp_order* not yet placed is probed in order and placed there
+        when :meth:`allows` says so.  The answers, the resulting state and
+        the probe count are exactly those of ``bind({})`` followed by that
+        loop of ``allows``/``place`` calls, but the reset skips
+        ``encode``.  A component no collocation or bandwidth constraint
+        couples to others has its memory, CPU and location probes and
+        updates inlined, without undo tokens; a coupled one goes through
+        :meth:`allows` and :meth:`place`.
+
+        Returns ``(placements, probes)``: the ``(ci, hi)`` placements in
+        placement order and the number of legality probes made.
+        """
+        self._clear()
+        cm = self.cm
+        assignment = self.assignment
+        mem_load, cpu_load = self.mem_load, self.cpu_load
+        comp_mem, comp_cpu = cm.component_memory, cm.component_cpu
+        host_mem, host_cpu = cm.host_memory, cm.host_cpu
+        loc_mask = self.loc_mask
+        check_mem, check_cpu = self.n_memory, self.n_cpu
+        check_loc = self.has_location
+        comp_together, comp_apart = self.comp_together, self.comp_apart
+        bandwidth = bool(self.bandwidth)
+        placements: List[Tuple[int, int]] = []
+        probes = 0
+        remaining = list(comp_order)
+        for hi in host_order:
+            if not remaining:
+                break
+            probes += len(remaining)
+            host_bit = 1 << hi
+            kept: List[int] = []
+            for ci in remaining:
+                if bandwidth or comp_together[ci] or comp_apart[ci]:
+                    if self.allows(ci, hi):
+                        self.place(ci, hi)
+                        placements.append((ci, hi))
+                    else:
+                        kept.append(ci)
+                elif check_loc and not loc_mask[ci] & host_bit:
+                    kept.append(ci)
+                elif check_mem and mem_load[hi] + comp_mem[ci] > host_mem[hi]:
+                    kept.append(ci)
+                elif check_cpu and cpu_load[hi] + comp_cpu[ci] > host_cpu[hi]:
+                    kept.append(ci)
+                else:
+                    assignment[ci] = hi
+                    placements.append((ci, hi))
+                    # Loads start at zero, needs are non-negative and the
+                    # probe passed with this very sum, so no host goes over
+                    # capacity, and the mask allowed this host: the
+                    # overload and location tallies stay zero.
+                    if check_mem:
+                        mem_load[hi] += comp_mem[ci]
+                    if check_cpu:
+                        cpu_load[hi] += comp_cpu[ci]
+            remaining = kept
+        return placements, probes
 
     # -- queries ----------------------------------------------------------
     def allows(self, ci: int, hi: int) -> bool:

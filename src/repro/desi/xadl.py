@@ -45,13 +45,23 @@ def _params_from_xml(element: ET.Element) -> Dict[str, Any]:
             raise SerializationError("param element missing name/value")
         if kind == "bool":
             out[name] = raw == "True"
-        elif kind == "int":
-            out[name] = int(raw)
-        elif kind == "float":
-            out[name] = float(raw)
+        elif kind in ("int", "float"):
+            try:
+                out[name] = int(raw) if kind == "int" else float(raw)
+            except ValueError:
+                raise XadlError(
+                    f"param {name!r} of {_describe(element)} has invalid "
+                    f"{kind} value {raw!r}") from None
         else:
             out[name] = raw.strip("'\"")
     return out
+
+
+def _describe(element: ET.Element) -> str:
+    """``<tag attr='value' ...>`` naming *element* in error messages."""
+    attrs = "".join(f" {key}={value!r}"
+                    for key, value in sorted(element.attrib.items()))
+    return f"<{element.tag}{attrs}>"
 
 
 def to_xml(model: DeploymentModel) -> str:

@@ -8,8 +8,13 @@ from repro.algorithms import (
 from repro.core import (
     AvailabilityObjective, ConstraintSet, DeploymentModel, MemoryConstraint,
 )
-from repro.core.constraints import CollocationConstraint, LocationConstraint
+from repro.core.constraints import (
+    BandwidthConstraint, CollocationConstraint, LocationConstraint,
+)
 from repro.desi import Generator, GeneratorConfig
+from repro.scenarios import (
+    CrisisConfig, build_crisis_scenario, build_sensor_field,
+)
 
 
 class TestStochastic:
@@ -165,3 +170,55 @@ class TestOrderingOfSuite:
                 iterations=10).run(model).value
         assert exact_sum >= avala_sum - 1e-9
         assert exact_sum >= stochastic_sum - 1e-9
+
+
+def _crisis():
+    scenario = build_crisis_scenario(CrisisConfig(
+        commanders=3, troops_per_commander=4, seed=0))
+    return scenario.model, scenario.constraints
+
+
+def _crisis_rich():
+    model, __ = _crisis()
+    comps, hosts = model.component_ids, model.host_ids
+    return model, ConstraintSet([
+        MemoryConstraint(), BandwidthConstraint(),
+        LocationConstraint(comps[1], forbidden=[hosts[0]]),
+        CollocationConstraint([comps[2], comps[3]], together=True),
+        CollocationConstraint([comps[4], comps[5]], together=False),
+    ])
+
+
+def _sensorfield():
+    scenario = build_sensor_field(rows=4, cols=4, aggregators=4, seed=0)
+    return scenario.model, scenario.constraints
+
+
+class TestCompiledLaneMatchesObjectPath:
+    """The compiled constraint lane (bulk greedy fill, encoded scoring) must
+    reproduce the object path exactly, down to the engine counters: bulk
+    probe counting equals per-probe counting."""
+
+    @pytest.mark.parametrize("world", [_crisis, _crisis_rich, _sensorfield],
+                             ids=["crisis", "crisis-rich", "sensorfield"])
+    @pytest.mark.parametrize("make", [
+        lambda o, c: StochasticAlgorithm(o, c, seed=5, iterations=60),
+        lambda o, c: AvalaAlgorithm(o, c, seed=5),
+    ], ids=["stochastic", "avala"])
+    def test_results_and_counters_identical(self, world, make):
+        model, constraints = world()
+        results = []
+        for use_compiled in (True, False):
+            algorithm = make(AvailabilityObjective(), constraints)
+            algorithm.use_compiled = use_compiled
+            results.append(algorithm.run(model))
+        fast, slow = results
+        assert fast.deployment.as_dict() == slow.deployment.as_dict()
+        assert list(fast.deployment) == list(slow.deployment)
+        assert fast.value == slow.value
+        assert fast.evaluations == slow.evaluations
+        for counter in ("constraint_checks", "full_evaluations",
+                        "cache_hits"):
+            assert (fast.extra["engine"][counter]
+                    == slow.extra["engine"][counter]), counter
+        assert fast.extra["engine"]["constraint_checks"] > 0

@@ -17,7 +17,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.base import greedy_fill_deployment
 from repro.algorithms.compiled import UNDEPLOYED, compiled_model
+from repro.algorithms.engine import EvaluationStats
+from repro.algorithms.search import ObjectConstraintChecker
 from repro.core.constraints import (
     BandwidthConstraint, CollocationConstraint, ConstraintSet, CpuConstraint,
     LocationConstraint, MemoryConstraint,
@@ -100,6 +103,20 @@ def constrained_worlds(draw, max_hosts=4, max_components=7):
 # Properties
 # ---------------------------------------------------------------------------
 
+def _snapshot(compiled):
+    """Every piece of incremental state (dict order ignored)."""
+    return (
+        list(compiled.assignment),
+        list(compiled.mem_load), list(compiled.cpu_load),
+        dict(compiled.tally),
+        [(dict(s["counts"]), s["placed"], s["distinct"])
+         for s in compiled.together],
+        [(dict(s["counts"]), s["collisions"]) for s in compiled.apart],
+        [(dict(s["demand"]), dict(s["count"]), s["over"])
+         for s in compiled.bandwidth],
+    )
+
+
 @settings(max_examples=120, deadline=None)
 @given(constrained_worlds())
 def test_satisfaction_and_violations_match_object_path(world):
@@ -137,19 +154,7 @@ def test_place_undo_roundtrip_restores_exact_state(world, data):
     compiled = compile_constraints(constraints, cm)
     compiled.bind(deployment)
 
-    def snapshot():
-        return (
-            list(compiled.assignment),
-            list(compiled.mem_load), list(compiled.cpu_load),
-            dict(compiled.tally),
-            [(dict(s["counts"]), s["placed"], s["distinct"])
-             for s in compiled.together],
-            [(dict(s["counts"]), s["collisions"]) for s in compiled.apart],
-            [(dict(s["demand"]), dict(s["count"]), s["over"])
-             for s in compiled.bandwidth],
-        )
-
-    pristine = snapshot()
+    pristine = _snapshot(compiled)
     tokens = []
     steps = data.draw(st.integers(1, 12))
     for __ in range(steps):
@@ -166,7 +171,7 @@ def test_place_undo_roundtrip_restores_exact_state(world, data):
             model, mapping)
     for token in reversed(tokens):
         compiled.undo(token)
-    assert snapshot() == pristine
+    assert _snapshot(compiled) == pristine
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,6 +193,43 @@ def test_allows_after_moves_matches_object_path(world, data):
             assert compiled.allows(ci, hi) == constraints.allows(
                 model, mapping, component, host), (component, host)
     assert compiled.violations() == constraints.violations(model, mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(constrained_worlds(), st.data())
+def test_fill_matches_object_greedy_fill(world, data):
+    """The bulk compiled fill is the object path's host-by-host greedy fill:
+    same placements in the same order, same probe count, and a state that
+    answers like a fresh bind of the result."""
+    model, constraints, deployment = world
+    cm = compiled_model(model)
+    host_order = data.draw(st.permutations(range(cm.n_hosts)))
+    comp_order = data.draw(st.permutations(range(cm.n_components)))
+    compiled = compile_constraints(constraints, cm)
+    compiled.bind(deployment)  # fill must start from empty regardless
+    placements, probes = compiled.fill(host_order, comp_order)
+
+    stats = EvaluationStats()
+    checker = ObjectConstraintChecker(model, constraints, stats, cm)
+    expected = greedy_fill_deployment(
+        model, constraints, [cm.host_ids[hi] for hi in host_order],
+        [cm.component_ids[ci] for ci in comp_order], checker=checker)
+    filled = {cm.component_ids[ci]: cm.host_ids[hi] for ci, hi in placements}
+    if expected is None:
+        assert len(placements) < cm.n_components
+        expected = checker.partial
+    assert list(filled.items()) == list(expected.items())
+    assert probes == stats.constraint_checks
+
+    fresh = compile_constraints(constraints, cm)
+    fresh.bind(filled)
+    assert _snapshot(compiled) == _snapshot(fresh)
+    assert compiled.satisfied() == fresh.satisfied() \
+        == constraints.is_satisfied(model, filled)
+    assert compiled.violation_count() == fresh.violation_count()
+    for ci in range(cm.n_components):
+        for hi in range(cm.n_hosts):
+            assert compiled.allows(ci, hi) == fresh.allows(ci, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.core.constraints import CollocationConstraint, LocationConstraint
 from repro.core.errors import SerializationError, XadlError
 from repro.desi import DeSiModel, MiddlewareAdapter, xadl
 from repro.middleware import DistributedSystem
+from repro.scenarios import build_crisis_scenario
 from repro.sim import InteractionWorkload, SimClock
 
 
@@ -114,6 +115,38 @@ class TestReferenceValidation:
 
     def test_xadl_error_is_serialization_error(self):
         assert issubclass(XadlError, SerializationError)
+
+
+class TestCorruptedParamValues:
+    """A numeric param that does not parse must raise XadlError naming the
+    param and its element, never a bare ValueError."""
+
+    @pytest.fixture(scope="class")
+    def crisis_xml(self):
+        return xadl.to_xml(build_crisis_scenario().model)
+
+    def test_bad_float_names_param_and_host(self, crisis_xml):
+        good = '<host id="hq">\n    <param name="memory" value="1000.0"'
+        assert good in crisis_xml
+        text = crisis_xml.replace(
+            good, '<host id="hq">\n    <param name="memory" value="lots"')
+        with pytest.raises(XadlError, match=(
+                r"param 'memory' of <host id='hq'> has invalid float "
+                r"value 'lots'")):
+            xadl.from_xml(text)
+
+    def test_bad_float_on_link_names_endpoints(self, crisis_xml):
+        text = crisis_xml.replace('name="frequency" value="',
+                                  'name="frequency" value="x', 1)
+        with pytest.raises(XadlError,
+                           match=r"'frequency' of <logicalLink componentA="):
+            xadl.from_xml(text)
+
+    def test_bad_int_is_rejected(self, crisis_xml):
+        text = crisis_xml.replace('value="80.0" type="float"',
+                                  'value="80.5" type="int"', 1)
+        with pytest.raises(XadlError, match=r"invalid int value '80.5'"):
+            xadl.from_xml(text)
 
 
 class TestMiddlewareAdapter:
