@@ -26,7 +26,6 @@ from repro.algorithms.base import (
 from repro.algorithms.bip import BIPAlgorithm
 from repro.algorithms.compiled import (
     CompiledDeployment, CompiledModel, Kernel, compile_kernel, compiled_model,
-    register_kernel,
 )
 from repro.algorithms.decap import (
     AwarenessMap, DecApAlgorithm, connectivity_awareness,
@@ -77,7 +76,6 @@ __all__ = [
     "connectivity_awareness",
     "greedy_fill_deployment",
     "make_checker",
-    "register_kernel",
     "random_valid_deployment",
     "run_portfolio",
 ]

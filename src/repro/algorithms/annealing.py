@@ -4,7 +4,8 @@ Section 4.3 names "genetic algorithm" alongside "greedy algorithm" as main
 bodies the methodology should accommodate; simulated annealing is the other
 classic stochastic main body, and exercising it validates that the
 Objective/ConstraintSet plug points are genuinely search-strategy agnostic.
-It relies on :meth:`Objective.move_delta` for O(degree) neighbor evaluation.
+It relies on the evaluation engine's move deltas (compiled kernels for the
+built-in objectives) for O(degree) neighbor evaluation.
 """
 
 from __future__ import annotations

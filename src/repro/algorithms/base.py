@@ -96,11 +96,6 @@ class DeploymentAlgorithm(ABC):
     exact: bool = False
     #: Whether the algorithm is decentralized (Section 3.1's taxonomy).
     decentralized: bool = False
-    #: Route constraint checks through the compiled O(1) checker when the
-    #: constraint set is compilable.  The object path is used automatically
-    #: for constraint types the compiler does not recognise; tests flip
-    #: this per-instance to cross-check the two paths.
-    use_compiled: bool = True
 
     def __init__(self, objective: Objective,
                  constraints: Optional[ConstraintSet] = None,
@@ -221,8 +216,7 @@ class DeploymentAlgorithm(ABC):
         """A constraint checker for *model* (compiled when possible)."""
         from repro.algorithms.search import make_checker
         stats = self._engine.stats if self._engine is not None else None
-        return make_checker(model, self.constraints, stats,
-                            use_compiled=self.use_compiled)
+        return make_checker(model, self.constraints, stats)
 
     def _search_state(self, model: DeploymentModel,
                       assignment: Mapping[str, str]):
@@ -232,7 +226,6 @@ class DeploymentAlgorithm(ABC):
         from repro.algorithms.search import SearchState
         return SearchState(model, self.constraints, self._engine,
                            self.objective, assignment,
-                           use_compiled=self.use_compiled,
                            count=self._count_evaluation)
 
     def __repr__(self) -> str:

@@ -30,9 +30,10 @@ at machine speed:
   Throughput and Durability objectives, by maintaining per-host running
   load/draw accumulators keyed to the base assignment.
 
-Custom objectives without a registered kernel fall back to the object path
-automatically; registering a kernel factory via :func:`register_kernel`
-opts a new objective into the fast path.
+The kernels are the only incremental implementation of the built-ins; the
+objects in :mod:`repro.core.objectives` keep the reference ``evaluate``.
+Custom objectives have no kernel and use the object path: their own
+``move_delta`` override, or two full evaluations.
 """
 
 from __future__ import annotations
@@ -372,8 +373,6 @@ class Kernel:
     evaluations to 1e-9 (the repository-wide incremental contract).
     """
 
-    supports_delta = True
-
     def __init__(self, objective: Objective, compiled: CompiledModel):
         self.objective = objective
         self.cm = compiled
@@ -402,8 +401,7 @@ class AvailabilityKernel(Kernel):
                                       compiled.edge_criticality, strict=True)]
         else:
             self.edge_weight = compiled.edge_frequency
-        # Deployment-independent denominator (the object path's
-        # _total_weight); computed once per snapshot.
+        # Deployment-independent denominator; computed once per snapshot.
         self.total_weight = sum(self.edge_weight)
 
     def evaluate(self, assignment: Sequence[int]) -> float:
@@ -661,7 +659,7 @@ class ThroughputKernel(Kernel):
         demand, __ = self._demand(assignment)
         return self._worst(demand)
 
-    def _base_state(self, assignment: Sequence[int]):
+    def _state_for(self, assignment: Sequence[int]):
         key = tuple(assignment)
         state = self._state
         if state is None or state[0] != key:
@@ -673,7 +671,7 @@ class ThroughputKernel(Kernel):
     def move_delta(self, assignment: Sequence[int], component_index: int,
                    new_host_index: int) -> float:
         cm = self.cm
-        __, demand, counts, base_value = self._base_state(assignment)
+        __, demand, counts, base_value = self._state_for(assignment)
         old_host = assignment[component_index]
         if old_host == new_host_index:
             return 0.0
@@ -826,7 +824,6 @@ class WeightedKernel(Kernel):
                  term_kernels: Sequence[Kernel]):
         super().__init__(objective, compiled)
         self.term_kernels: Tuple[Kernel, ...] = tuple(term_kernels)
-        self.supports_delta = all(k.supports_delta for k in self.term_kernels)
 
     def evaluate(self, assignment: Sequence[int]) -> float:
         objective: WeightedObjective = self.objective
@@ -858,22 +855,18 @@ class WeightedKernel(Kernel):
 
 
 # ---------------------------------------------------------------------------
-# Kernel registry
+# Kernel dispatch
 # ---------------------------------------------------------------------------
 
-KernelFactory = Callable[[Objective, CompiledModel], Optional[Kernel]]
+KernelFactory = Callable[[Objective, CompiledModel], Kernel]
 
 
 def _weighted_factory(objective: Objective,
-                      compiled: CompiledModel) -> Optional[Kernel]:
+                      compiled: CompiledModel) -> Kernel:
     assert isinstance(objective, WeightedObjective)
-    term_kernels = []
-    for term, __ in objective.terms:
-        kernel = compile_kernel(term, compiled)
-        if kernel is None:
-            return None  # uncompilable term: whole combination falls back
-        term_kernels.append(kernel)
-    return WeightedKernel(objective, compiled, term_kernels)
+    return WeightedKernel(objective, compiled,
+                          [compile_kernel(term, compiled)
+                           for term, __ in objective.terms])
 
 
 #: Exact-type dispatch: subclasses may override ``evaluate`` arbitrarily,
@@ -889,28 +882,25 @@ _KERNEL_FACTORIES: Dict[Type[Objective], KernelFactory] = {
 }
 
 
-def register_kernel(objective_type: Type[Objective],
-                    factory: KernelFactory) -> None:
-    """Opt a custom objective type into the compiled fast path.
+def has_kernel(objective: Objective) -> bool:
+    """True when :func:`compile_kernel` serves *objective*.
 
-    The factory receives ``(objective, compiled_model)`` and returns a
-    :class:`Kernel` (or ``None`` to decline).  The kernel's ``evaluate``
-    must be bit-identical to the objective's — the engine memoizes the two
-    paths interchangeably.
+    Dispatch is on the objective's *exact* type, so subclasses with
+    overridden behavior never silently inherit a kernel that ignores their
+    overrides; a weighted combination needs a kernel for every term.
     """
-    _KERNEL_FACTORIES[objective_type] = factory
+    if type(objective) is WeightedObjective:
+        return all(has_kernel(term) for term, __ in objective.terms)
+    return type(objective) in _KERNEL_FACTORIES
 
 
 def compile_kernel(objective: Objective,
                    compiled: CompiledModel) -> Optional[Kernel]:
     """A kernel evaluating *objective* over *compiled*, or ``None``.
 
-    ``None`` means the objective has no registered kernel (or a weighted
-    term doesn't) and callers must use the object path.  Dispatch is on
-    the objective's *exact* type: subclasses with overridden behavior
-    never silently inherit a kernel that ignores their overrides.
+    ``None`` means the objective has no kernel (see :func:`has_kernel`) and
+    callers must use the object path.
     """
-    factory = _KERNEL_FACTORIES.get(type(objective))
-    if factory is None:
+    if not has_kernel(objective):
         return None
-    return factory(objective, compiled)
+    return _KERNEL_FACTORIES[type(objective)](objective, compiled)

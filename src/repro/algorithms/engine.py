@@ -7,9 +7,8 @@ Two hot-path observations drive this module:
   the same deployments — the initial deployment, elite genetic individuals,
   revisited local-search states.  :class:`EvaluationEngine` memoizes
   ``Objective.evaluate`` on the hashable
-  :class:`~repro.core.model.Deployment` and routes single-component moves
-  through the O(degree) ``Objective.move_delta`` fast path whenever the
-  objective declares ``supports_delta``.
+  :class:`~repro.core.model.Deployment` and serves single-component moves
+  from the objective's compiled kernel, in O(degree), when it has one.
 
 * One slow or crashing algorithm must not stall the monitor→analyze→effect
   loop.  :class:`PortfolioRunner` executes a portfolio of algorithms
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.compiled import (
-    CompiledModel, Kernel, compile_kernel, compiled_model,
+    CompiledModel, Kernel, compile_kernel, compiled_model, has_kernel,
 )
 from repro.core.constraints import ConstraintSet
 from repro.core.errors import AlgorithmError, EvaluationBudgetExceeded
@@ -44,6 +43,11 @@ from repro.core.objectives import Objective
 from repro.core.report import ReportBase, deprecated_alias
 
 AlgorithmFactory = Callable[[], "Any"]
+
+
+def _overrides_move_delta(objective: Objective) -> bool:
+    """True when *objective*'s class supplies its own ``move_delta``."""
+    return type(objective).move_delta is not Objective.move_delta
 
 
 class DeploymentCache:
@@ -134,8 +138,8 @@ class EvaluationStats:
     cache_hits: int = 0
     cache_misses: int = 0
     delta_evaluations: int = 0
-    #: move_delta requests the objective could not serve incrementally
-    #: (``supports_delta`` is False) and that fell back to full evaluation.
+    #: move_delta requests served by two full evaluations because the
+    #: objective has neither a kernel nor its own ``move_delta``.
     delta_fallbacks: int = 0
     #: Full evaluations served by a compiled kernel instead of the
     #: object-path ``Objective.evaluate`` (subset of ``full_evaluations``).
@@ -175,25 +179,24 @@ class EvaluationEngine:
         max_evaluations: Budget on charged evaluations (full + delta) per
             run; ``None`` means unlimited.
         max_seconds: Wall-clock budget per run; ``None`` means unlimited.
-        use_kernels: Route evaluation through the compiled kernels of
-            :mod:`repro.algorithms.compiled` when the objective has one
-            (built-in objectives do; custom objectives fall back to the
-            object path automatically).  Kernel values are bit-compatible
-            with ``Objective.evaluate``, so memoized scores mix freely.
+
+    Evaluation goes through the compiled kernel of
+    :mod:`repro.algorithms.compiled` when the objective has one (the
+    built-ins do; custom objectives use the object path).  Kernel values
+    are bit-compatible with ``Objective.evaluate``, so memoized scores mix
+    freely.
     """
 
     def __init__(self, objective: Objective,
                  constraints: Optional[ConstraintSet] = None, *,
                  cache: Optional[DeploymentCache] = None,
                  max_evaluations: Optional[int] = None,
-                 max_seconds: Optional[float] = None,
-                 use_kernels: bool = True):
+                 max_seconds: Optional[float] = None):
         self.objective = objective
         self.constraints = constraints if constraints is not None else ConstraintSet()
         self.cache = cache if cache is not None else DeploymentCache()
         self.max_evaluations = max_evaluations
         self.max_seconds = max_seconds
-        self.use_kernels = use_kernels
         self.stats = EvaluationStats()
         self._started = time.perf_counter()
         self._best: Optional[Tuple[Deployment, float]] = None
@@ -242,11 +245,9 @@ class EvaluationEngine:
         snapshot itself is shared process-wide through
         :func:`~repro.algorithms.compiled.compiled_model`, while the kernel
         (which may hold per-base accumulator state) stays private to this
-        engine.  Returns None when kernels are disabled or the objective
-        has no registered kernel — callers then use the object path.
+        engine.  Returns None when the objective has no kernel — callers
+        then use the object path.
         """
-        if not self.use_kernels:
-            return None
         snapshot = compiled_model(model)
         cached = self._kernel_state
         if cached is not None and cached[0]() is model \
@@ -311,32 +312,21 @@ class EvaluationEngine:
                    new_host: str) -> float:
         """Objective change for one component move.
 
-        Routed through the objective's compiled kernel when one exists,
-        else its O(degree) ``move_delta`` when it declares
-        ``supports_delta``; otherwise served by two (memoized) full
+        Served by the objective's compiled kernel when one exists, else by
+        its own ``move_delta`` override, else by two (memoized) full
         evaluations.
         """
-        if getattr(self.objective, "supports_delta", False):
-            self._charge()
-            self.stats.delta_evaluations += 1
-            kernel = self._kernel_for(model)
-            if kernel is not None and kernel.supports_delta:
-                compiled = kernel.cm
-                component_index = compiled.component_index.get(component)
-                host_index = compiled.host_index.get(new_host)
-                if component_index is not None and host_index is not None:
-                    assignment = compiled.encode(deployment)
-                    if assignment is not None:
-                        self.stats.kernel_deltas += 1
-                        return kernel.move_delta(assignment, component_index,
-                                                 host_index)
-            return self.objective.move_delta(model, deployment, component,
-                                             new_host)
-        self.stats.delta_fallbacks += 1
-        base = self.evaluate(model, deployment)
-        moved = dict(deployment)
-        moved[component] = new_host
-        return self.evaluate(model, moved) - base
+        kernel = self._kernel_for(model)
+        if kernel is not None:
+            compiled = kernel.cm
+            component_index = compiled.component_index.get(component)
+            host_index = compiled.host_index.get(new_host)
+            if component_index is not None and host_index is not None:
+                assignment = compiled.encode(deployment)
+                if assignment is not None:
+                    return self._kernel_delta(kernel, assignment,
+                                              component_index, host_index)
+        return self._object_delta(model, deployment, component, new_host)
 
     def move_delta_indexed(self, model: DeploymentModel,
                            deployment: Mapping[str, str],
@@ -350,24 +340,34 @@ class EvaluationEngine:
         a kernel delta costs only O(degree).  Budget charging and counters
         are identical to :meth:`move_delta`.
         """
-        if getattr(self.objective, "supports_delta", False):
+        kernel = self._kernel_for(model)
+        if kernel is not None:
+            return self._kernel_delta(kernel, assignment, component_index,
+                                      host_index)
+        compiled = compiled_model(model)
+        return self._object_delta(model, deployment,
+                                  compiled.component_ids[component_index],
+                                  compiled.host_ids[host_index])
+
+    def _kernel_delta(self, kernel: Kernel, assignment: Sequence[int],
+                      component_index: int, host_index: int) -> float:
+        self._charge()
+        self.stats.delta_evaluations += 1
+        self.stats.kernel_deltas += 1
+        return kernel.move_delta(assignment, component_index, host_index)
+
+    def _object_delta(self, model: DeploymentModel,
+                      deployment: Mapping[str, str], component: str,
+                      new_host: str) -> float:
+        if _overrides_move_delta(self.objective):
             self._charge()
             self.stats.delta_evaluations += 1
-            kernel = self._kernel_for(model)
-            if kernel is not None and kernel.supports_delta:
-                self.stats.kernel_deltas += 1
-                return kernel.move_delta(assignment, component_index,
-                                         host_index)
-            compiled = compiled_model(model)
-            return self.objective.move_delta(
-                model, deployment, compiled.component_ids[component_index],
-                compiled.host_ids[host_index])
-        compiled = compiled_model(model)
+            return self.objective.move_delta(model, deployment, component,
+                                             new_host)
         self.stats.delta_fallbacks += 1
         base = self.evaluate(model, deployment)
         moved = dict(deployment)
-        moved[compiled.component_ids[component_index]] = \
-            compiled.host_ids[host_index]
+        moved[component] = new_host
         return self.evaluate(model, moved) - base
 
     def evaluate_move(self, model: DeploymentModel,
@@ -400,8 +400,10 @@ class EvaluationEngine:
             "constraint_checks": self.stats.constraint_checks,
             "moves_rescored": self.stats.moves_rescored,
             "frontier_hits": self.stats.frontier_hits,
-            "supports_delta": bool(getattr(self.objective, "supports_delta",
-                                           False)),
+            # Moves are served incrementally: by a kernel, or by the
+            # objective's own move_delta override.
+            "supports_delta": (has_kernel(self.objective)
+                               or _overrides_move_delta(self.objective)),
             "truncated": self.stats.truncated,
             "elapsed": self.elapsed,
             "max_evaluations": self.max_evaluations,

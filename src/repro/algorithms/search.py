@@ -12,9 +12,9 @@ O(degree).  :class:`SearchState` turns the round into O(affected):
   type is not compilable.  Both expose the same protocol, count their
   queries into ``EvaluationStats.constraint_checks``, and are equivalent by
   construction/property test — which is what makes the fast path safe to
-  enable by default.  Both also run the constructive greedy fill
-  (``fill``): in bulk on the compiled path, one probe at a time on the
-  object path, with equal probe counts.
+  choose whenever the constraint set compiles.  Both also run the
+  constructive greedy fill (``fill``): in bulk on the compiled path, one
+  probe at a time on the object path, with equal probe counts.
 
 * **Legal-move frontier with dirty-move invalidation.**  The frontier
   caches each component's best improving move and the per-move deltas.
@@ -221,18 +221,16 @@ class CompiledConstraintChecker:
 
 
 def make_checker(model: DeploymentModel, constraints: ConstraintSet,
-                 stats: Optional[EvaluationStats] = None,
-                 use_compiled: bool = True):
+                 stats: Optional[EvaluationStats] = None):
     """The fastest applicable constraint checker for *constraints*.
 
     Compiled when every member constraint is a built-in type (by exact
-    type) and *use_compiled* is set; the object path otherwise.
+    type); the object path otherwise.
     """
     cm = compiled_model(model)
-    if use_compiled:
-        compiled_set = compile_constraints(constraints, cm)
-        if compiled_set is not None:
-            return CompiledConstraintChecker(cm, compiled_set, stats)
+    compiled_set = compile_constraints(constraints, cm)
+    if compiled_set is not None:
+        return CompiledConstraintChecker(cm, compiled_set, stats)
     return ObjectConstraintChecker(model, constraints, stats, cm)
 
 
@@ -248,7 +246,7 @@ class SearchState:
 
     def __init__(self, model: DeploymentModel, constraints: ConstraintSet,
                  engine: Optional[EvaluationEngine], objective: Objective,
-                 assignment: Mapping[str, str], *, use_compiled: bool = True,
+                 assignment: Mapping[str, str], *,
                  count: Optional[Callable[[int], None]] = None):
         self.model = model
         self.constraints = constraints
@@ -261,23 +259,21 @@ class SearchState:
         encoded = self.cm.encode(self.mapping)
         if encoded is None:
             raise ValueError("assignment references unknown hosts")
-        # One compilation serves both the checker (when enabled) and the
-        # invalidation metadata (collocation closures, bandwidth presence).
+        # One compilation serves both the checker and the invalidation
+        # metadata (collocation closures, bandwidth presence).
         info = compile_constraints(constraints, self.cm)
         self._compilable = info is not None
-        if use_compiled and info is not None:
+        if info is not None:
             self.checker = CompiledConstraintChecker(self.cm, info,
                                                      self.stats)
             self.checker.reset(encoded)
             #: The checker's array IS our array — one mutation source.
             self.array: List[int] = info.assignment
-            self._shared_array = True
         else:
             self.checker = ObjectConstraintChecker(model, constraints,
                                                    self.stats, self.cm)
             self.checker.reset(self.mapping)
             self.array = encoded
-            self._shared_array = False
         self._partners: List[Tuple[int, ...]] = (
             info.colloc_partners if info is not None
             else [()] * self.cm.n_components)
@@ -340,7 +336,7 @@ class SearchState:
         component_id = self.cm.component_ids[ci]
         host_id = self.cm.host_ids[hi]
         self.checker.place_index(ci, hi)
-        if not self._shared_array:
+        if not self._compilable:  # else the checker moved the shared array
             self.array[ci] = hi
         self.mapping[component_id] = host_id
         if old != UNDEPLOYED:
@@ -355,7 +351,7 @@ class SearchState:
         ha, hb = self.array[ca], self.array[cb]
         self.checker.place_index(ca, hb)
         self.checker.place_index(cb, ha)
-        if not self._shared_array:
+        if not self._compilable:
             self.array[ca], self.array[cb] = hb, ha
         ca_id, cb_id = self.cm.component_ids[ca], self.cm.component_ids[cb]
         self.mapping[ca_id] = self.cm.host_ids[hb]

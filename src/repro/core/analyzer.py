@@ -447,8 +447,8 @@ class Analyzer:
             for component in moved:
                 if working[component] == current[component]:
                     continue
-                delta = guard.move_delta(model, working, component,
-                                         current[component])
+                delta = self._guard_engine.move_delta(
+                    model, working, component, current[component])
                 gain = -delta if guard.direction == "min" else delta
                 if gain > best_gain:
                     best_gain = gain

@@ -4,8 +4,8 @@ Two pillars behind one rule-engine core (:mod:`repro.lint.core`):
 
 * the **model verifier** (:mod:`repro.lint.model_rules`,
   :mod:`repro.lint.xadl_rules`) — checks ``DeploymentModel``s, xADL
-  documents, constraint sets, and objective contracts before algorithms
-  search them or the effector migrates live components;
+  documents and constraint sets before algorithms search them or the
+  effector migrates live components;
 * the **code analyzer** (:mod:`repro.lint.code`) — AST rules enforcing
   this repository's concurrency and registry conventions.
 
@@ -37,8 +37,8 @@ from repro.lint.fault_rules import (
     verify_fault_plan,
 )
 from repro.lint.model_rules import (
-    MODEL_RULES, ModelLintContext, ModelRule, default_objectives,
-    model_rule_registry, verify_deployment, verify_model,
+    MODEL_RULES, ModelLintContext, ModelRule, model_rule_registry,
+    verify_deployment, verify_model,
 )
 from repro.lint.plan_rules import (
     PLAN_RULES, ScheduleLintContext, ScheduleRule, plan_rule_registry,
@@ -77,7 +77,6 @@ __all__ = [
     "analyze_source",
     "apply_baseline",
     "code_rule_registry",
-    "default_objectives",
     "fault_rule_registry",
     "finding_fingerprint",
     "iter_python_files",

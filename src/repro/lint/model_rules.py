@@ -12,7 +12,7 @@ Rules are tagged:
 
 * ``deployment`` — judge a (model, deployment) pair; this subset is the
   effector/batch pre-flight gate (:func:`verify_deployment`);
-* ``topology`` / ``parameters`` / ``objectives`` — judge the model itself
+* ``topology`` / ``parameters`` — judge the model itself
   regardless of any particular deployment.
 """
 
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type,
+    Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type,
 )
 
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
 )
 from repro.core.model import DeploymentModel
-from repro.core.objectives import Objective
 from repro.lint.core import (
     Finding, LintReport, Rule, RuleRegistry, Severity,
 )
@@ -35,7 +34,6 @@ from repro.lint.core import (
 DEPLOYMENT = "deployment"
 TOPOLOGY = "topology"
 PARAMETERS = "parameters"
-OBJECTIVES = "objectives"
 
 
 @dataclass
@@ -44,14 +42,11 @@ class ModelLintContext:
 
     ``deployment`` defaults to the model's current deployment;
     ``constraints`` defaults to the constraints stored on the model itself.
-    ``objectives`` are the Objective *classes* whose incremental-evaluation
-    contract should be audited (instances work too).
     """
 
     model: DeploymentModel
     deployment: Optional[Mapping[str, str]] = None
     constraints: Optional[ConstraintSet] = None
-    objectives: Sequence[object] = ()
 
     def __post_init__(self) -> None:
         if self.deployment is None:
@@ -441,9 +436,9 @@ class CompiledEngineAdvisoryRule(ModelRule):
             yield self.finding(
                 f"model size {hosts} hosts x {components} components "
                 f"(= {size}) exceeds the object-path comfort zone "
-                f"({self.COMFORT_ZONE}); ensure the evaluation engine's "
-                "compiled kernels are in use (use_kernels=True, built-in "
-                "objectives)",
+                f"({self.COMFORT_ZONE}); search it with a built-in "
+                "objective (exact type), which the evaluation engine "
+                "serves from compiled kernels",
                 subject=f"model {context.model.name!r}",
                 hosts=hosts, components=components, size=size)
 
@@ -461,11 +456,6 @@ class EmptyModelRule(ModelRule):
         if not context.model.component_ids:
             yield self.finding("model declares no components",
                                subject=f"model {context.model.name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Objective-contract rules
-# ---------------------------------------------------------------------------
 
 class InfeasiblePlacementRatioRule(ModelRule):
     rule_id = "MV018"
@@ -516,49 +506,6 @@ class InfeasiblePlacementRatioRule(ModelRule):
                 infeasible=infeasible, total=total, ratio=round(ratio, 4))
 
 
-class DeltaContractRule(ModelRule):
-    rule_id = "MV015"
-    severity = Severity.ERROR
-    description = ("Objectives declaring supports_delta=True must override "
-                   "move_delta with a real incremental implementation; "
-                   "inheriting the base recompute-from-scratch silently "
-                   "forfeits the O(degree) fast path the engine was "
-                   "promised.")
-    tags = frozenset({OBJECTIVES})
-
-    def check(self, context: ModelLintContext) -> Iterable[Finding]:
-        for objective in context.objectives or default_objectives():
-            cls = objective if isinstance(objective, type) else type(objective)
-            subject = f"objective {cls.__name__}"
-            move_delta = getattr(cls, "move_delta", None)
-            if not callable(move_delta):
-                yield self.finding("move_delta is missing or not callable",
-                                   subject=subject)
-                continue
-            if getattr(cls, "supports_delta", False) and \
-                    move_delta is Objective.move_delta:
-                yield self.finding(
-                    "declares supports_delta=True but inherits the base "
-                    "move_delta (full re-evaluation)", subject=subject)
-
-
-def default_objectives() -> Tuple[Type[Objective], ...]:
-    """Every concrete Objective subclass importable from the core package.
-
-    Walking ``__subclasses__`` keeps the audit in sync with the registry of
-    objectives automatically — a new objective is contract-checked the
-    moment it is defined, with no list to maintain.
-    """
-    out: List[Type[Objective]] = []
-    stack: List[Type[Objective]] = list(Objective.__subclasses__())
-    while stack:
-        cls = stack.pop()
-        stack.extend(cls.__subclasses__())
-        if cls not in out:
-            out.append(cls)
-    return tuple(sorted(out, key=lambda c: c.__name__))
-
-
 # ---------------------------------------------------------------------------
 # Registry and entry points
 # ---------------------------------------------------------------------------
@@ -580,7 +527,6 @@ MODEL_RULES: Tuple[Type[ModelRule], ...] = (
     EmptyModelRule,
     CompiledEngineAdvisoryRule,
     InfeasiblePlacementRatioRule,
-    DeltaContractRule,
     PerfectlyReliableHostRule,
 )
 
@@ -593,13 +539,11 @@ def model_rule_registry() -> RuleRegistry:
 def verify_model(model: DeploymentModel,
                  deployment: Optional[Mapping[str, str]] = None,
                  constraints: Optional[ConstraintSet] = None,
-                 objectives: Sequence[object] = (),
                  registry: Optional[RuleRegistry] = None,
                  tags: Optional[Iterable[str]] = None) -> LintReport:
     """Run the full model verifier (or a tag subset) over *model*."""
     context = ModelLintContext(model, deployment=deployment,
-                               constraints=constraints,
-                               objectives=objectives)
+                               constraints=constraints)
     active = registry if registry is not None else model_rule_registry()
     return active.run(context, tags=tags)
 

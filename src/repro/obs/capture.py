@@ -96,35 +96,49 @@ class Capture:
             except json.JSONDecodeError as exc:
                 raise ReproError(
                     f"capture line {lineno}: invalid JSON ({exc})") from exc
-            kind = line.get("type")
-            if kind == "meta":
-                version = line.get("version")
-                if version != FORMAT_VERSION:
-                    raise ReproError(
-                        f"capture version {version!r} not supported "
-                        f"(expected {FORMAT_VERSION})")
-                capture.label = line.get("label", "")
-            elif kind in ("counter", "gauge", "histogram"):
-                capture.metrics.load_line(line)
-            elif kind == "span":
-                span = Span(line["name"], start=line["start"],
-                            end=line["end"],
-                            attributes=dict(line.get("attrs", {})))
-                by_id[line["id"]] = span
-                parent = line.get("parent")
-                if parent is None:
-                    capture.spans.append(span)
-                else:
-                    try:
-                        by_id[parent].children.append(span)
-                    except KeyError:
-                        raise ReproError(
-                            f"capture line {lineno}: span parent {parent} "
-                            f"not seen yet") from None
-            else:
+            if not isinstance(line, dict):
                 raise ReproError(
-                    f"capture line {lineno}: unknown type {kind!r}")
+                    f"capture line {lineno}: expected a JSON object, got "
+                    f"{type(line).__name__}")
+            try:
+                capture._load_line(line, by_id, lineno)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ReproError(
+                    f"capture line {lineno}: malformed "
+                    f"{line.get('type')!r} line ({type(exc).__name__}: "
+                    f"{exc})") from exc
         return capture
+
+    def _load_line(self, line: Dict[str, Any], by_id: Dict[int, Span],
+                   lineno: int) -> None:
+        kind = line.get("type")
+        if kind == "meta":
+            version = line.get("version")
+            if version != FORMAT_VERSION:
+                raise ReproError(
+                    f"capture version {version!r} not supported "
+                    f"(expected {FORMAT_VERSION})")
+            self.label = line.get("label", "")
+        elif kind in ("counter", "gauge", "histogram"):
+            self.metrics.load_line(line)
+        elif kind == "span":
+            span = Span(line["name"], start=line["start"],
+                        end=line["end"],
+                        attributes=dict(line.get("attrs", {})))
+            by_id[line["id"]] = span
+            parent = line.get("parent")
+            if parent is None:
+                self.spans.append(span)
+            else:
+                try:
+                    by_id[parent].children.append(span)
+                except KeyError:
+                    raise ReproError(
+                        f"capture line {lineno}: span parent {parent} "
+                        f"not seen yet") from None
+        else:
+            raise ReproError(
+                f"capture line {lineno}: unknown type {kind!r}")
 
     @classmethod
     def load(cls, path: str) -> "Capture":

@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms.compiled import (
     UNDEPLOYED, CompiledDeployment, CompiledModel, compile_kernel,
-    compiled_model, register_kernel,
+    compiled_model,
 )
 from repro.core.model import DeploymentModel
 from repro.core.objectives import (
@@ -152,12 +152,20 @@ class TestKernelRegistry:
             SecurityObjective,
         )
         compiled = compiled_model(tiny_model)
+        deployment = dict(tiny_model.deployment)
+        moved = dict(deployment, c1="hB")
+        assignment = compiled.encode(deployment)
         for objective in (AvailabilityObjective(), LatencyObjective(),
                           CommunicationCostObjective(), SecurityObjective(),
                           ThroughputObjective(), DurabilityObjective()):
             kernel = compile_kernel(objective, compiled)
             assert kernel is not None, objective.name
-            assert kernel.supports_delta is True
+            delta = kernel.move_delta(assignment,
+                                      compiled.component_index["c1"],
+                                      compiled.host_index["hB"])
+            assert delta == pytest.approx(
+                objective.evaluate(tiny_model, moved)
+                - objective.evaluate(tiny_model, deployment), abs=1e-9)
 
     def test_custom_objective_has_no_kernel(self, tiny_model):
         class Custom(Objective):
@@ -182,7 +190,7 @@ class TestKernelRegistry:
                                       (ThroughputObjective(), 0.5)])
         kernel = compile_kernel(weighted, compiled_model(tiny_model))
         assert kernel is not None
-        assert kernel.supports_delta is True
+        assert len(kernel.term_kernels) == 2
 
     def test_weighted_with_uncompilable_term_declines(self, tiny_model):
         class Custom(Objective):
@@ -194,29 +202,3 @@ class TestKernelRegistry:
         weighted = WeightedObjective([(AvailabilityObjective(), 1.0),
                                       (Custom(), 0.5)])
         assert compile_kernel(weighted, compiled_model(tiny_model)) is None
-
-    def test_register_kernel_extends_dispatch(self, tiny_model):
-        class Constant(Objective):
-            name = "constant"
-
-            def evaluate(self, model, deployment):
-                return 7.0
-
-        class ConstantKernel:
-            supports_delta = False
-
-            def __init__(self, objective, compiled):
-                self.objective = objective
-                self.cm = compiled
-
-            def evaluate(self, assignment):
-                return 7.0
-
-        register_kernel(Constant, ConstantKernel)
-        try:
-            kernel = compile_kernel(Constant(), compiled_model(tiny_model))
-            assert kernel is not None
-            assert kernel.evaluate([0, 0, 0]) == 7.0
-        finally:
-            from repro.algorithms import compiled as compiled_module
-            del compiled_module._KERNEL_FACTORIES[Constant]

@@ -2,9 +2,10 @@
 
 The compiled kernels replicate the object path's arithmetic in the same
 accumulation order, so for random generator models and random move
-sequences every objective's kernel ``evaluate`` and ``move_delta`` must
-match the object path within 1e-9 — including after parameter mutations
-that trigger recompilation.
+sequences every objective's kernel ``evaluate`` must match the object
+path's ``evaluate``, and every kernel ``move_delta`` the difference of two
+object-path evaluations, within 1e-9 — including after parameter
+mutations that trigger recompilation.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from repro.algorithms.compiled import compile_kernel, compiled_model
+from repro.algorithms.engine import EvaluationEngine
 from repro.core.objectives import (
     AvailabilityObjective, CommunicationCostObjective, DurabilityObjective,
     LatencyObjective, SecurityObjective, ThroughputObjective,
@@ -105,11 +107,7 @@ class TestKernelEquivalence:
                              - objective.evaluate(model, deployment))
                 kernel_delta = kernel.move_delta(assignment, component_index,
                                                  host_index)
-                object_delta = objective.move_delta(model, deployment,
-                                                    component_id, host_id)
                 assert kernel_delta == pytest.approx(
-                    reference, abs=TOLERANCE), objective.name
-                assert object_delta == pytest.approx(
                     reference, abs=TOLERANCE), objective.name
             # Accept the move and keep walking from the new base.
             deployment = moved
@@ -187,15 +185,17 @@ class TestKernelEquivalence:
                 base_reference, abs=TOLERANCE)
             assert first == pytest.approx(base_reference, abs=TOLERANCE)
 
-    def test_object_path_state_invalidates_on_mutation(self):
-        """The object-path Throughput/Durability accumulators are keyed on
-        model.version: a parameter change must not serve stale deltas."""
+    def test_kernel_state_invalidates(self):
+        """The engine's Throughput/Durability kernel accumulators belong to
+        one model snapshot: a parameter change must not serve stale
+        deltas."""
         model = build_model(4, 8, 83)
         deployment = dict(model.deployment)
         for objective in (ThroughputObjective(), DurabilityObjective()):
+            engine = EvaluationEngine(objective)
             component_id = model.component_ids[0]
             host_id = model.host_ids[0]
-            objective.move_delta(model, deployment, component_id, host_id)
+            engine.move_delta(model, deployment, component_id, host_id)
             # Mutate something the accumulators depend on.
             link = model.physical_links[0]
             model.set_physical_link_param(*link.hosts, "bandwidth", 7.0)
@@ -205,6 +205,7 @@ class TestKernelEquivalence:
             moved[component_id] = host_id
             reference = (objective.evaluate(model, moved)
                          - objective.evaluate(model, deployment))
-            assert objective.move_delta(
+            assert engine.move_delta(
                 model, deployment, component_id, host_id) == pytest.approx(
                     reference, abs=TOLERANCE), objective.name
+            assert engine.stats.kernel_deltas == 2

@@ -326,15 +326,21 @@ class TestKernelRouting:
         assert base + delta == pytest.approx(
             availability.evaluate(tiny_model, moved), abs=1e-9)
 
-    def test_use_kernels_false_takes_object_path(self, tiny_model,
-                                                 availability):
-        engine = EvaluationEngine(availability, use_kernels=False)
+    def test_builtin_subclass_takes_object_path(self, tiny_model,
+                                                availability):
+        class Opaque(AvailabilityObjective):
+            """Exact-type dispatch gives a subclass no kernel."""
+
+        engine = EvaluationEngine(Opaque())
         deployment = dict(tiny_model.deployment)
         value = engine.evaluate(tiny_model, deployment)
-        engine.move_delta(tiny_model, deployment, "c1", "hB")
+        delta = engine.move_delta(tiny_model, deployment, "c1", "hB")
         assert engine.stats.kernel_evaluations == 0
         assert engine.stats.kernel_deltas == 0
         assert value == availability.evaluate(tiny_model, deployment)
+        kernel_engine = EvaluationEngine(availability)
+        assert delta == pytest.approx(kernel_engine.move_delta(
+            tiny_model, deployment, "c1", "hB"), abs=1e-9)
 
     def test_custom_objective_falls_back(self, tiny_model):
         class Custom(Objective):

@@ -5,7 +5,9 @@ by running the portfolio algorithms *before* they were rewired through
 ``repro.algorithms.search.SearchState`` / the compiled constraint checker.
 The tests assert that fixed-seed runs still produce byte-identical
 deployments afterwards, and that the compiled fast path and the object
-constraint path agree move-for-move.
+constraint path agree move-for-move.  The object path is reached the way
+production reaches it: a constraint set with a member type the compiler
+does not know.
 
 Regenerate the fixture (only when a deliberate behavioural change is being
 made) with::
@@ -23,11 +25,13 @@ import pytest
 from repro.algorithms import (
     AvalaAlgorithm, DecApAlgorithm, GeneticAlgorithm, HillClimbingAlgorithm,
     SimulatedAnnealingAlgorithm, StochasticAlgorithm, SwapSearchAlgorithm,
+    compiled_model,
 )
 from repro.core.constraints import (
     CollocationConstraint, ConstraintSet, LocationConstraint,
     MemoryConstraint,
 )
+from repro.core.constraints_compiled import compile_constraints
 from repro.core.errors import AlgorithmError, NoValidDeploymentError
 from repro.core.objectives import AvailabilityObjective, ThroughputObjective
 from repro.desi import Generator, GeneratorConfig
@@ -45,8 +49,14 @@ def _models():
     return Generator(config, seed=77).generate_many(2, "det")
 
 
-def _constraints(model, rich: bool) -> ConstraintSet:
-    constraints = ConstraintSet([MemoryConstraint()])
+class _OpaqueMemory(MemoryConstraint):
+    """Exact-type dispatch leaves a subclass uncompiled, so a set holding
+    one runs on ``ObjectConstraintChecker``."""
+
+
+def _constraints(model, rich: bool, opaque: bool = False) -> ConstraintSet:
+    memory = _OpaqueMemory() if opaque else MemoryConstraint()
+    constraints = ConstraintSet([memory])
     if rich:
         comps = model.component_ids
         constraints.add(
@@ -115,16 +125,20 @@ def test_fixed_seed_outcomes_match_prerewire_golden():
 
 
 def test_compiled_and_object_checkers_yield_identical_results():
-    """The compiled constraint fast path must not change any trajectory."""
+    """The compiled constraint fast path must not change any trajectory.
+
+    Only the trajectory is compared: an uncompilable set rescans every
+    frontier row, so ``moves_rescored``/``frontier_hits`` may differ.
+    """
     for mi, model in enumerate(_models()):
         for flavor, rich in (("mem", False), ("rich", True)):
             constraints = _constraints(model, rich)
+            opaque = _constraints(model, rich, opaque=True)
+            assert compile_constraints(opaque, compiled_model(model)) is None
             for obj_name, obj_factory in _objectives():
                 for name, factory in _algorithms():
                     fast = factory(obj_factory(), constraints)
-                    slow = factory(obj_factory(), constraints)
-                    slow.use_compiled = False
-                    assert fast.use_compiled, "compiled path must be default"
+                    slow = factory(obj_factory(), opaque)
                     try:
                         fast_result = fast.run(model)
                     except (AlgorithmError, NoValidDeploymentError) as exc:

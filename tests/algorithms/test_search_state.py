@@ -31,10 +31,15 @@ def _model(seed=5, hosts=5, components=12):
     return Generator(config, seed=seed).generate()
 
 
-def _rich_constraints(model):
+class _Opaque(MemoryConstraint):
+    """Exact-type dispatch leaves a subclass uncompiled, so a set holding
+    one runs on ``ObjectConstraintChecker`` (and rescans every row)."""
+
+
+def _rich_constraints(model, compilable=True):
     comps = model.component_ids
     return ConstraintSet([
-        MemoryConstraint(),
+        MemoryConstraint() if compilable else _Opaque(),
         BandwidthConstraint(),
         LocationConstraint(comps[0], forbidden=[model.host_ids[0]]),
         CollocationConstraint([comps[1], comps[2]], together=True),
@@ -63,19 +68,19 @@ def _brute_force_best(state):
     CommunicationCostObjective,   # neighbor-local, minimize
     ThroughputObjective,          # bottleneck: full invalidation per move
 ])
-@pytest.mark.parametrize("use_compiled", [True, False])
+@pytest.mark.parametrize("compilable", [True, False])
 def test_best_move_matches_brute_force_along_trajectory(objective_cls,
-                                                        use_compiled):
+                                                        compilable):
     model = _model()
-    constraints = _rich_constraints(model)
+    constraints = _rich_constraints(model, compilable)
     objective = objective_cls()
     engine = EvaluationEngine(objective, constraints)
     state = SearchState(model, constraints, engine, objective,
-                        model.deployment, use_compiled=use_compiled)
+                        model.deployment)
+    assert state.checker.compiled == compilable
     reference = SearchState(model, constraints,
                             EvaluationEngine(objective, constraints),
-                            objective, model.deployment,
-                            use_compiled=use_compiled)
+                            objective, model.deployment)
     for step in range(12):
         move = state.best_move()
         expected = _brute_force_best(reference)
@@ -90,14 +95,14 @@ def test_best_move_matches_brute_force_along_trajectory(objective_cls,
 
 def test_compiled_and_object_frontiers_take_identical_paths():
     model = _model(seed=11)
-    constraints = _rich_constraints(model)
     objective = AvailabilityObjective()
-    states = [
-        SearchState(model, constraints, EvaluationEngine(objective,
-                                                         constraints),
-                    objective, model.deployment, use_compiled=flag)
-        for flag in (True, False)
-    ]
+    states = []
+    for compilable in (True, False):
+        constraints = _rich_constraints(model, compilable)
+        states.append(SearchState(
+            model, constraints, EvaluationEngine(objective, constraints),
+            objective, model.deployment))
+    assert [s.checker.compiled for s in states] == [True, False]
     while True:
         moves = [s.best_move() for s in states]
         assert moves[0] == moves[1]
@@ -164,11 +169,10 @@ def test_swap_allowed_permits_exact_fit_exchange():
     model.deploy("v", "h0")
     model.deploy("y", "h1")
     model.deploy("u", "h1")
-    constraints = ConstraintSet([MemoryConstraint()])
-    for use_compiled in (True, False):
+    for memory in (MemoryConstraint(), _Opaque()):
+        constraints = ConstraintSet([memory])
         state = SearchState(model, constraints, None,
-                            AvailabilityObjective(), model.deployment,
-                            use_compiled=use_compiled)
+                            AvailabilityObjective(), model.deployment)
         ya, vb = state.component_index("y"), state.component_index("v")
         assert state.best_move() is None  # both hosts full: no single move
         assert state.swap_allowed(ya, vb)
@@ -179,12 +183,9 @@ def test_swap_allowed_permits_exact_fit_exchange():
 
 
 def test_make_checker_falls_back_for_unknown_constraint_types():
-    class Odd(MemoryConstraint):
-        pass
-
     model = _model(seed=3, hosts=3, components=5)
     compiled = make_checker(model, ConstraintSet([MemoryConstraint()]))
-    fallback = make_checker(model, ConstraintSet([Odd()]))
+    fallback = make_checker(model, ConstraintSet([_Opaque()]))
     assert compiled.compiled
     assert not fallback.compiled
     # Both count their probes.
@@ -200,11 +201,8 @@ def test_uncompilable_constraints_still_search_correctly():
     """With an unknown constraint type the frontier must stay conservative
     (every row's legality re-derived per move) yet still match brute
     force."""
-    class Odd(MemoryConstraint):
-        pass
-
     model = _model(seed=13, hosts=4, components=8)
-    constraints = ConstraintSet([Odd()])
+    constraints = ConstraintSet([_Opaque()])
     objective = AvailabilityObjective()
     engine = EvaluationEngine(objective, constraints)
     state = SearchState(model, constraints, engine, objective,

@@ -194,6 +194,19 @@ def _sensorfield():
     return scenario.model, scenario.constraints
 
 
+class _OpaqueMemory(MemoryConstraint):
+    """Exact-type dispatch leaves a subclass uncompiled, so a set holding
+    one runs on ``ObjectConstraintChecker``."""
+
+
+def _opaque(constraints):
+    """*constraints* with its memory constraint made uncompilable."""
+    members = [_OpaqueMemory() if type(c) is MemoryConstraint else c
+               for c in constraints]
+    assert any(type(c) is _OpaqueMemory for c in members)
+    return ConstraintSet(members)
+
+
 class TestCompiledLaneMatchesObjectPath:
     """The compiled constraint lane (bulk greedy fill, encoded scoring) must
     reproduce the object path exactly, down to the engine counters: bulk
@@ -207,12 +220,8 @@ class TestCompiledLaneMatchesObjectPath:
     ], ids=["stochastic", "avala"])
     def test_results_and_counters_identical(self, world, make):
         model, constraints = world()
-        results = []
-        for use_compiled in (True, False):
-            algorithm = make(AvailabilityObjective(), constraints)
-            algorithm.use_compiled = use_compiled
-            results.append(algorithm.run(model))
-        fast, slow = results
+        fast, slow = (make(AvailabilityObjective(), member_set).run(model)
+                      for member_set in (constraints, _opaque(constraints)))
         assert fast.deployment.as_dict() == slow.deployment.as_dict()
         assert list(fast.deployment) == list(slow.deployment)
         assert fast.value == slow.value

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms.engine import EvaluationEngine
 from repro.core.model import DeploymentModel
 from repro.core.objectives import (
     MAXIMIZE, MINIMIZE, UNREACHABLE_COST, AvailabilityObjective,
@@ -44,10 +45,11 @@ class TestAvailability:
         objective = AvailabilityObjective()
         deployment = dict(small_model.deployment)
         base = objective.evaluate(small_model, deployment)
+        engine = EvaluationEngine(objective)
         for component in small_model.component_ids:
             for host in small_model.host_ids:
-                delta = objective.move_delta(small_model, deployment,
-                                             component, host)
+                delta = engine.move_delta(small_model, deployment,
+                                          component, host)
                 moved = dict(deployment)
                 moved[component] = host
                 expected = objective.evaluate(small_model, moved) - base
@@ -108,10 +110,11 @@ class TestLatency:
         objective = LatencyObjective()
         deployment = dict(small_model.deployment)
         base = objective.evaluate(small_model, deployment)
+        engine = EvaluationEngine(objective)
         for component in small_model.component_ids[:4]:
             for host in small_model.host_ids:
-                delta = objective.move_delta(small_model, deployment,
-                                             component, host)
+                delta = engine.move_delta(small_model, deployment,
+                                          component, host)
                 moved = dict(deployment)
                 moved[component] = host
                 expected = objective.evaluate(small_model, moved) - base
@@ -141,10 +144,11 @@ class TestCommunicationCost:
         objective = CommunicationCostObjective()
         deployment = dict(small_model.deployment)
         base = objective.evaluate(small_model, deployment)
+        engine = EvaluationEngine(objective)
         for component in small_model.component_ids[:4]:
             for host in small_model.host_ids:
-                delta = objective.move_delta(small_model, deployment,
-                                             component, host)
+                delta = engine.move_delta(small_model, deployment,
+                                          component, host)
                 moved = dict(deployment)
                 moved[component] = host
                 assert delta == pytest.approx(
@@ -193,7 +197,8 @@ class TestWeighted:
         ])
         deployment = dict(tiny_model.deployment)
         base = combo.evaluate(tiny_model, deployment)
-        delta = combo.move_delta(tiny_model, deployment, "c3", "hA")
+        delta = EvaluationEngine(combo).move_delta(tiny_model, deployment,
+                                                   "c3", "hA")
         moved = dict(deployment)
         moved["c3"] = "hA"
         assert delta == pytest.approx(

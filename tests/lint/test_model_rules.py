@@ -7,11 +7,10 @@ from repro.core.constraints import (
     MemoryConstraint,
 )
 from repro.core.model import DeploymentModel
-from repro.core.objectives import AvailabilityObjective, Objective
 from repro.lint.core import Severity
 from repro.lint.model_rules import (
-    DEPLOYMENT, ModelLintContext, default_objectives, model_rule_registry,
-    verify_deployment, verify_model,
+    DEPLOYMENT, ModelLintContext, model_rule_registry, verify_deployment,
+    verify_model,
 )
 
 
@@ -26,8 +25,7 @@ def clean_model(tiny_model):
 
 class TestCleanModel:
     def test_no_errors_on_tiny_model(self, clean_model):
-        report = verify_model(clean_model,
-                              objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         assert not report.has_errors
 
     def test_preflight_subset_clean(self, clean_model):
@@ -95,26 +93,26 @@ class TestParameterRules:
     def test_mv006_negative_frequency(self, clean_model):
         link = clean_model.logical_link("c1", "c2")
         link.params.values["frequency"] = -1.0
-        report = verify_model(clean_model, objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         assert "MV006" in rules_found(report)
 
     def test_mv007_reliability_out_of_range(self, clean_model):
         link = clean_model.physical_link("hA", "hB")
         link.params.values["reliability"] = 1.5
-        report = verify_model(clean_model, objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         assert "MV007" in rules_found(report)
 
     def test_mv008_negative_memory(self, clean_model):
         component = clean_model.component("c2")
         component.params.values["memory"] = -3.0
-        report = verify_model(clean_model, objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         assert "MV008" in rules_found(report)
 
 
 class TestTopologyRules:
     def test_mv009_partitioned_hosts_warn(self, clean_model):
         clean_model.add_host("island", memory=10.0)
-        report = verify_model(clean_model, objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         finding = next(f for f in report if f.rule == "MV009")
         assert finding.severity is Severity.WARNING
         assert "island" in finding.subject
@@ -124,8 +122,7 @@ class TestTopologyRules:
             LocationConstraint("ghost", allowed=["hA"]),
             CollocationConstraint(["c1", "phantom"], together=True),
         ])
-        report = verify_model(clean_model, constraints=constraints,
-                              objectives=[AvailabilityObjective])
+        report = verify_model(clean_model, constraints=constraints)
         dangling = [f for f in report if f.rule == "MV011"]
         assert len(dangling) == 2
         assert all(f.severity is Severity.WARNING for f in dangling)
@@ -133,22 +130,20 @@ class TestTopologyRules:
     def test_mv012_unsatisfiable_component(self, clean_model):
         constraints = ConstraintSet(
             [LocationConstraint("c1", forbidden=["hA", "hB"])])
-        report = verify_model(clean_model, constraints=constraints,
-                              objectives=[AvailabilityObjective])
+        report = verify_model(clean_model, constraints=constraints)
         finding = next(f for f in report if f.rule == "MV012")
         assert "c1" in finding.subject
 
     def test_mv013_isolated_component_info(self, clean_model):
         clean_model.add_component("loner", memory=1.0)
         clean_model.deploy("loner", "hB")
-        report = verify_model(clean_model, objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         finding = next(f for f in report if f.rule == "MV013")
         assert finding.severity is Severity.INFO
         assert "loner" in finding.subject
 
     def test_mv014_empty_model(self):
-        report = verify_model(DeploymentModel(),
-                              objectives=[AvailabilityObjective])
+        report = verify_model(DeploymentModel())
         assert len([f for f in report if f.rule == "MV014"]) == 2
 
     def test_mv016_advises_compiled_engine_on_large_models(self):
@@ -158,15 +153,14 @@ class TestTopologyRules:
         for c in range(50):
             model.add_component(f"c{c}", memory=1.0)
             model.deploy(f"c{c}", f"h{c}")
-        report = verify_model(model, objectives=[AvailabilityObjective])
+        report = verify_model(model)
         finding = next(f for f in report if f.rule == "MV016")
         assert finding.severity is Severity.INFO
         assert finding.detail["size"] == 2500
         assert "compiled" in finding.message
 
     def test_mv016_silent_within_comfort_zone(self, clean_model):
-        report = verify_model(clean_model,
-                              objectives=[AvailabilityObjective])
+        report = verify_model(clean_model)
         assert "MV016" not in rules_found(report)
 
     def test_mv018_warns_when_placement_space_mostly_infeasible(self):
@@ -182,8 +176,7 @@ class TestTopologyRules:
             LocationConstraint("c0", forbidden=["h0"]),
         ])
         # Infeasible: (c0,h0) by location, (c0,h1) and (c1,h1) by memory.
-        report = verify_model(model, constraints=constraints,
-                              objectives=[AvailabilityObjective])
+        report = verify_model(model, constraints=constraints)
         finding = next(f for f in report if f.rule == "MV018")
         assert finding.severity is Severity.WARNING
         assert finding.detail["infeasible"] == 3
@@ -192,36 +185,12 @@ class TestTopologyRules:
 
     def test_mv018_silent_on_roomy_constraints(self, clean_model):
         report = verify_model(clean_model,
-                              constraints=ConstraintSet([MemoryConstraint()]),
-                              objectives=[AvailabilityObjective])
+                              constraints=ConstraintSet([MemoryConstraint()]))
         assert "MV018" not in rules_found(report)
 
     def test_mv018_silent_without_constraints(self, clean_model):
-        report = verify_model(clean_model, constraints=ConstraintSet(),
-                              objectives=[AvailabilityObjective])
+        report = verify_model(clean_model, constraints=ConstraintSet())
         assert "MV018" not in rules_found(report)
-
-
-class TestDeltaContractRule:
-    def test_mv015_flags_broken_contract(self, clean_model):
-        # Deliberately NOT an Objective subclass: subclasses defined in a
-        # test would pollute Objective.__subclasses__() (and therefore
-        # default_objectives()) for the rest of the session.
-        class Cheater:
-            name = "cheater"
-            supports_delta = True  # ...but only the base move_delta
-            move_delta = Objective.move_delta
-
-            def evaluate(self, model, deployment):
-                return 0.0
-
-        report = verify_model(clean_model, objectives=[Cheater])
-        finding = next(f for f in report if f.rule == "MV015")
-        assert "Cheater" in finding.subject
-
-    def test_mv015_passes_real_objectives(self, clean_model):
-        report = verify_model(clean_model, objectives=default_objectives())
-        assert "MV015" not in rules_found(report)
 
 
 class TestContextAndRegistry:
@@ -260,6 +229,7 @@ class TestContextAndRegistry:
 
     def test_registry_lists_all_builtin_rules(self):
         registry = model_rule_registry()
-        assert len(registry) == 18
+        assert len(registry) == 17
         assert "MV001" in registry and "MV017" in registry
         assert "MV018" in registry
+        assert "MV015" not in registry  # retired with supports_delta

@@ -74,6 +74,18 @@ class TestMalformedCaptures:
         with pytest.raises(ReproError, match="invalid JSON"):
             Capture.loads('{"type": "meta", broken\n')
 
+    @pytest.mark.parametrize("line", [
+        '[1, 2]',
+        '{"type": "span", "id": 0, "start": 0.0, "end": 1.0}',
+        '{"type": "counter"}',
+        '{"type": "histogram", "name": "x"}',
+    ], ids=["not-an-object", "span-without-name", "bare-counter",
+            "histogram-without-buckets"])
+    def test_malformed_line_rejected_with_line_number(self, line):
+        text = '{"type": "meta", "version": 1, "label": ""}\n' + line + "\n"
+        with pytest.raises(ReproError, match="capture line 2"):
+            Capture.loads(text)
+
     def test_unknown_version_rejected(self):
         with pytest.raises(ReproError, match="version"):
             Capture.loads('{"type": "meta", "version": 99, "label": ""}\n')

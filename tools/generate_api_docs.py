@@ -133,16 +133,17 @@ evaluation takes the deployment as an explicit argument.  One cache may be
 shared by many engines (keys include the objective), which is how a
 portfolio's members reuse each other's work.
 
-**Incremental evaluation.** Every `Objective` follows one contract:
-`move_delta(model, deployment, component, new_host)` returns
-`evaluate(moved) - evaluate(base)` to 1e-9, and `supports_delta` declares
-whether that delta is served incrementally in O(degree) of the moved
-component.  All six built-in objectives implement the fast path —
-throughput (bottleneck max) and durability (lifetime min) localize a move
-with per-host-pair demand / per-host draw accumulators keyed on
-`model.version`.  `WeightedObjective` supports the fast path iff all of
-its terms do.  (`repro.lint` rule MV015 flags objectives that declare the
-fast path without implementing it.)
+**Incremental evaluation.** A move delta returns
+`evaluate(moved) - evaluate(base)` to 1e-9.  `EvaluationEngine.move_delta`
+serves it from the objective's compiled kernel when it has one, else
+from the objective's own `move_delta` override, else from two memoized
+full evaluations; `snapshot()["supports_delta"]` reports whether one of
+the first two applies.  Every built-in objective has a kernel with an
+incremental delta — throughput (bottleneck max) and durability (lifetime
+min) localize a move with per-host-pair demand / per-host draw
+accumulators — and `WeightedObjective` has one iff all of its terms do.
+A user objective extends the framework through `evaluate` and,
+optionally, a `move_delta` override.
 
 **Budgets and graceful truncation.** Engines accept `max_evaluations`
 and/or `max_seconds`.  When a budget runs out mid-search the engine raises
@@ -181,12 +182,11 @@ vectors), invalidated through model-listener events and recompiled
 lazily per generation.  `CompiledDeployment` pairs a host-index array
 with an O(1) incrementally-maintained Zobrist hash.
 `compile_kernel(objective, compiled)` resolves a per-objective kernel by
-exact type (`register_kernel` extends the table); every built-in
-objective has one, all with incremental `move_delta`, and
+exact type; every built-in objective has one, all with incremental
+`move_delta` (the only incremental implementation of the built-ins), and
 `WeightedObjective` composes its terms' kernels.  The
-`EvaluationEngine` routes through kernels automatically
-(`use_kernels=True`), falling back to the object path for custom
-objectives or un-encodable deployments.  `docs/PERFORMANCE.md` covers
+`EvaluationEngine` routes through kernels automatically, falling back to
+the object path for custom objectives or un-encodable deployments.  `docs/PERFORMANCE.md` covers
 the lifecycle and the measured speedups (`BENCH_compiled.json`);
 lint rule MV016 advises when model size demands the compiled path.
 """,
